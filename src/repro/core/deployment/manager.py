@@ -56,6 +56,7 @@ from repro.nfv.pipeline import Pipeline, PipelineStep, labeled_verdict
 from repro.nfv.sandbox import Capability, Sandbox
 from repro.sdn.actions import Output, ToChain
 from repro.sdn.controller import Controller
+from repro.sdn.match import Match
 
 _deployment_numbers = itertools.count(1)
 
@@ -152,7 +153,6 @@ class PvnDataPath:
         self._classifier_runner = None
         self._redirect_pipeline: Pipeline | None = None
         self._pooled_context: ProcessingContext | None = None
-        self._context_pool: list[ProcessingContext] = []
         self.pipeline_compiles = 0
         self.pipeline_invalidations = 0
 
@@ -360,111 +360,6 @@ class PvnDataPath:
             + tuple(outcome.verdict_reasons),
         )
         return outcome
-
-    def process_batch(self, packets: list[Packet],
-                      now: float) -> list[DataPathOutcome]:
-        """Run a burst through the PVN pipeline as vectors.
-
-        Packets are classified per slot (sharing one context per slot
-        between the classifier and that packet's chain, exactly like
-        the scalar path), grouped by traffic class, and each group
-        executes through its compiled pipeline's
-        :meth:`~repro.nfv.pipeline.Pipeline.run_batch`.  Rare states —
-        stale epoch, migration bridge, degradation, crashed classifier
-        — and span-traced packets fall back to scalar :meth:`process`
-        so their per-packet semantics (fence evidence, span synthesis,
-        verdict labels) are untouched; batched outcomes carry empty
-        ``verdict_reasons`` (the throughput/introspection trade
-        :class:`~repro.nfv.pipeline.BatchResult` documents).
-        """
-        classify = "classifier" not in self.skip_services
-        if (self._bridging_to or self._degraded_to
-                or (classify and self._service_down("classifier"))
-                or (self.fencing is not None
-                    and not self.fencing.is_current(self.lineage,
-                                                    self.epoch))):
-            return [self.process(packet, now) for packet in packets]
-        obs = obs_runtime.current()
-        tracing = obs is not None and obs.trace_spans
-        outcomes: list[DataPathOutcome | None] = [None] * len(packets)
-        vector: list[int] = []
-        for i, packet in enumerate(packets):
-            if tracing and obs_spans.extract(packet.metadata) is not None:
-                outcomes[i] = self.process(packet, now)
-            else:
-                vector.append(i)
-        if not vector:
-            return outcomes
-        self.packets_processed += len(vector)
-        pool = self._context_pool
-        while len(pool) < len(vector):
-            pool.append(ProcessingContext(
-                now=now, owner="", tracer=self.tracer,
-                trusted_execution=self.trusted_execution,
-            ))
-        runner = None
-        if classify:
-            runner = self._classifier_runner
-            if runner is None:
-                runner = self._resolve_runner("classifier")
-                self._classifier_runner = runner
-        classifier_delay = self.container_spec.per_packet_delay if classify \
-            else 0.0
-        groups: dict[str, tuple[list[int], list[Packet], list]] = {}
-        for slot, i in enumerate(vector):
-            packet = packets[i]
-            context = pool[slot].reset(now, packet.owner)
-            if runner is not None:
-                stamp(packet, "classifier", self.keyring)
-                runner(packet, context)
-            traffic_class = packet.metadata.get(CLASS_KEY, "other")
-            group = groups.get(traffic_class)
-            if group is None:
-                groups[traffic_class] = ([i], [packet], [context])
-            else:
-                group[0].append(i)
-                group[1].append(packet)
-                group[2].append(context)
-        for traffic_class, (indices, group_packets, contexts) in \
-                groups.items():
-            batch = self._pipeline_for(traffic_class).run_batch(
-                group_packets, contexts,
-            )
-            terminal = self.compiled.terminal_for(traffic_class)
-            for k, i in enumerate(indices):
-                delay = classifier_delay + batch.added_delays[k]
-                kind = batch.terminal_kinds[k]
-                if kind is VerdictKind.DROP:
-                    outcomes[i] = DataPathOutcome(
-                        action=ACTION_DROP, added_delay=delay,
-                        traffic_class=traffic_class,
-                    )
-                elif kind is VerdictKind.TUNNEL:
-                    outcomes[i] = DataPathOutcome(
-                        action=ACTION_TUNNEL,
-                        tunnel_endpoint=batch.tunnel_endpoints[k],
-                        added_delay=delay, traffic_class=traffic_class,
-                    )
-                elif terminal == "drop":
-                    group_packets[k].mark_dropped(
-                        f"policy drop (pvn {self.deployment_id})"
-                    )
-                    outcomes[i] = DataPathOutcome(
-                        action=ACTION_DROP, added_delay=delay,
-                        traffic_class=traffic_class,
-                    )
-                elif terminal.startswith("tunnel:"):
-                    outcomes[i] = DataPathOutcome(
-                        action=ACTION_TUNNEL,
-                        tunnel_endpoint=terminal.split(":", 1)[1],
-                        added_delay=delay, traffic_class=traffic_class,
-                    )
-                else:
-                    outcomes[i] = DataPathOutcome(
-                        action=ACTION_FORWARD, added_delay=delay,
-                        traffic_class=traffic_class,
-                    )
-        return outcomes
 
     def _process(self, packet: Packet, now: float) -> DataPathOutcome:
         if (self.fencing is not None
@@ -854,28 +749,8 @@ class DeploymentManager:
 
         # 4. Owner-scoped flow rules steering the user into the chain.
         if self.controller is not None:
-            switch = self.controller.switch(self.ingress_switch)
-            detour = self._detour_delay(embedding)
-            switch.bind_chain(
-                deployment_id,
-                lambda packet, chain_id: self._chain_executor(
-                    datapath, packet, detour
-                ),
-            )
-            switch.bind_chain_batch(
-                deployment_id,
-                lambda packets, chain_id: self._chain_batch_executor(
-                    datapath, packets, detour
-                ),
-            )
-            next_hop = self._next_hop_toward_gateway()
-            self.controller.install(
-                self.ingress_switch,
-                compiled.pvn_match,
-                (ToChain(deployment_id, resume_neighbor=next_hop),),
-                priority=200,
-                pvn_id=deployment_id,
-            )
+            self._steer_into_chain(deployment_id, datapath, embedding,
+                                   compiled.pvn_match)
 
         # 5. PVN-scoped addresses for the post-ACK DHCP refresh.
         subnet = f"10.200.{next(self._subnet_counter)}.0/24"
@@ -927,23 +802,28 @@ class DeploymentManager:
         packet.metadata["chain_delay"] = outcome.added_delay + detour_delay
         return packet
 
-    def _chain_batch_executor(self, datapath: PvnDataPath,
-                              packets: list[Packet],
-                              detour_delay: float = 0.0):
-        """Vector counterpart of :meth:`_chain_executor` — one datapath
-        batch per burst, per-packet outcome handling unchanged."""
-        now = self.sim.now if self.sim is not None else 0.0
-        outcomes = datapath.process_batch(packets, now)
-        results: list[Packet | None] = []
-        for packet, outcome in zip(packets, outcomes):
-            if outcome.action != ACTION_FORWARD:
-                results.append(None)
-            else:
-                packet.metadata["chain_delay"] = (
-                    outcome.added_delay + detour_delay
-                )
-                results.append(packet)
-        return results
+    def _steer_into_chain(self, chain_id: str, datapath: PvnDataPath,
+                          embedding: EmbeddingResult,
+                          match: Match) -> None:
+        """Bind ``datapath`` as chain ``chain_id`` at the ingress switch
+        and steer ``match`` into it (priority 200), resuming toward the
+        gateway with the embedding's detour charged per packet."""
+        switch = self.controller.switch(self.ingress_switch)
+        detour = self._detour_delay(embedding)
+        switch.bind_chain(
+            chain_id,
+            lambda packet, _chain_id: self._chain_executor(
+                datapath, packet, detour
+            ),
+        )
+        self.controller.install(
+            self.ingress_switch,
+            match,
+            (ToChain(chain_id,
+                     resume_neighbor=self._next_hop_toward_gateway()),),
+            priority=200,
+            pvn_id=chain_id,
+        )
 
     def _detour_delay(self, embedding: EmbeddingResult) -> float:
         """One-way extra latency of the waypointed path vs direct."""

@@ -579,24 +579,9 @@ class MigrationTransaction:
         # 4. Swap SDN rules: bind the target chain, drop the source's.
         if manager.controller is not None:
             switch = manager.controller.switch(manager.ingress_switch)
-            detour = manager._detour_delay(self.target_embedding)
-            datapath = self.target_datapath
-            switch.bind_chain(
-                self.target_id,
-                lambda packet, chain_id: manager._chain_executor(
-                    datapath, packet, detour
-                ),
-            )
-            from repro.sdn.actions import ToChain
-
-            manager.controller.install(
-                manager.ingress_switch,
-                source.compiled.pvn_match,
-                (ToChain(self.target_id,
-                         resume_neighbor=manager._next_hop_toward_gateway()),),
-                priority=200,
-                pvn_id=self.target_id,
-            )
+            manager._steer_into_chain(self.target_id, self.target_datapath,
+                                      self.target_embedding,
+                                      source.compiled.pvn_match)
             manager.controller.remove_pvn(source.deployment_id)
             # Epoch-fence both cache tiers: rule install/removal
             # already flushed them, but advancing the fence token makes

@@ -17,14 +17,6 @@ tiers are fenced on the table's generation counter (every
 install/remove invalidates) and on the migration epoch token
 (:meth:`SdnSwitch.fence`) so cached winners can never go stale.
 
-Bursts can traverse the datapath as one vector: :meth:`process_batch`
-classifies each packet through the same tiers, then executes, grouping
-packets steered into the same service chain so the NFV layer can run
-them through one compiled pipeline invocation
-(:meth:`bind_chain_batch`).  :meth:`enable_tick_batching` coalesces
-same-instant deliveries into such vectors via
-:class:`~repro.netsim.batching.TickBatcher`.
-
 Packet accounting is conservative by construction::
 
     packets_received == packets_forwarded + packets_dropped
@@ -40,7 +32,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ConfigurationError
-from repro.netsim.batching import TickBatcher
 from repro.netsim.node import Node
 from repro.obs import runtime as obs_runtime
 from repro.netsim.packet import Packet
@@ -54,9 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.netsim.trace import Tracer
 
 ChainExecutor = Callable[[Packet, str], Packet | None]
-#: Vector form: one call per burst, results parallel to the inputs
-#: (None = the chain consumed/dropped that packet).
-BatchChainExecutor = Callable[[list[Packet], str], list[Packet | None]]
 TunnelEncap = Callable[[Packet, str], None]
 PacketInHandler = Callable[["SdnSwitch", Packet], None]
 
@@ -76,10 +64,8 @@ class SdnSwitch(Node):
                                             tracer=tracer)
         self.tracer = tracer
         self._chain_executors: dict[str, ChainExecutor] = {}
-        self._chain_batch_executors: dict[str, BatchChainExecutor] = {}
         self._tunnel_encaps: dict[str, TunnelEncap] = {}
         self._packet_in: PacketInHandler | None = None
-        self._batcher: TickBatcher | None = None
         self.packets_received = 0
         self.packets_forwarded = 0
         self.packets_dropped = 0
@@ -88,21 +74,12 @@ class SdnSwitch(Node):
         # Classifications that fell through both cache tiers to the
         # linear rule scan (E21's headline metric).
         self.full_classifications = 0
-        self.batches_processed = 0
-        self.batch_packets = 0
 
     # -- control-plane wiring ----------------------------------------------
 
     def bind_chain(self, chain_id: str, executor: ChainExecutor) -> None:
         """Register the executor invoked by ``ToChain(chain_id)``."""
         self._chain_executors[chain_id] = executor
-
-    def bind_chain_batch(self, chain_id: str,
-                         executor: BatchChainExecutor) -> None:
-        """Register the vector executor :meth:`process_batch` hands
-        whole bursts steered into ``chain_id`` (optional; chains
-        without one fall back to the per-packet executor)."""
-        self._chain_batch_executors[chain_id] = executor
 
     def bind_tunnel(self, endpoint: str, encap: TunnelEncap) -> None:
         """Register the encapsulator invoked by ``Tunnel(endpoint)``."""
@@ -129,30 +106,11 @@ class SdnSwitch(Node):
         self.flow_cache.fence(token, now=at)
         self.megaflow_cache.fence(token, now=at)
 
-    def enable_tick_batching(self, enabled: bool = True) -> None:
-        """Coalesce same-instant deliveries into one datapath vector.
-
-        With batching on, :meth:`receive` buffers packets in a
-        :class:`~repro.netsim.batching.TickBatcher`; all packets
-        arriving at one simulated instant traverse the datapath as a
-        single :meth:`process_batch` call.
-        """
-        self._batcher = (TickBatcher(self.sim, self.process_batch)
-                         if enabled else None)
-
-    @property
-    def tick_batcher(self) -> TickBatcher | None:
-        """The active same-tick batcher (None unless enabled)."""
-        return self._batcher
-
     # -- data plane ----------------------------------------------------------
 
     def receive(self, packet: Packet, link: "Link") -> None:
         super().receive(packet, link)
-        if self._batcher is not None:
-            self._batcher.add(packet)
-        else:
-            self.process(packet)
+        self.process(packet)
 
     def _classify(self, packet: Packet) -> CacheEntry | None:
         """The cached entry for ``packet``, filling tiers on demand.
@@ -215,55 +173,6 @@ class SdnSwitch(Node):
         else:
             self.table.record_match(entry.rule, packet)
         entry.closure(packet)
-
-    def process_batch(self, packets: list[Packet]) -> None:
-        """Run a burst through the datapath as one vector.
-
-        Per-packet observable semantics are identical to calling
-        :meth:`process` in order — same winners, same match stats,
-        same drop reasons, same conservation counters.  The batch win
-        is in execution: packets steered into the same service chain
-        are grouped and handed to that chain's vector executor
-        (:meth:`bind_chain_batch`) as one call, so the NFV layer can
-        push them through one compiled pipeline invocation instead of
-        re-entering per packet.  Chain groups execute after the
-        non-chain packets of the burst; packets never reorder *within*
-        a group, and per-packet fates are order-independent.
-        """
-        chain_groups: dict[tuple[str, str], tuple[ToChain, list[Packet]]] = {}
-        batch_executors = self._chain_batch_executors
-        for packet in packets:
-            self.packets_received += 1
-            entry = self._classify(packet)
-            if entry is None:
-                rule = self.table.lookup(packet)
-                self.full_classifications += 1
-                if rule is None:
-                    self._punt(packet)
-                else:
-                    self.apply_actions(packet, rule.actions)
-                continue
-            rule = entry.rule
-            if rule is None:
-                self.table.record_miss()
-                entry.closure(packet)
-                continue
-            self.table.record_match(rule, packet)
-            first = rule.actions[0]
-            if (batch_executors and isinstance(first, ToChain)
-                    and first.chain_id in batch_executors):
-                key = (first.chain_id, first.resume_neighbor)
-                group = chain_groups.get(key)
-                if group is None:
-                    chain_groups[key] = (first, [packet])
-                else:
-                    group[1].append(packet)
-            else:
-                entry.closure(packet)
-        for action, group in chain_groups.values():
-            self._run_chain_batch(group, action)
-        self.batches_processed += 1
-        self.batch_packets += len(packets)
 
     def apply_actions(self, packet: Packet, actions: tuple) -> None:
         """Apply an action list directly (uncached slow path)."""
@@ -419,30 +328,6 @@ class SdnSwitch(Node):
             # next); the switch's pipeline is done with it.
             self.packets_consumed += 1
 
-    def _run_chain_batch(self, packets: list[Packet],
-                         action: ToChain) -> None:
-        """Vector counterpart of :meth:`_run_chain`.
-
-        One executor call for the whole group; per-packet outcome
-        handling (consumed vs resumed, out-of-band chain delay) is
-        identical to the scalar path.
-        """
-        executor = self._chain_batch_executors[action.chain_id]
-        results = executor(packets, action.chain_id)
-        resume = action.resume_neighbor
-        for result in results:
-            if result is None:
-                self.packets_consumed += 1
-            elif resume:
-                self.packets_forwarded += 1
-                delay = float(result.metadata.pop("chain_delay", 0.0))
-                if delay > 0:
-                    self.sim.schedule(delay, self.send, result, resume)
-                else:
-                    self.send(result, via=resume)
-            else:
-                self.packets_consumed += 1
-
     def _run_tunnel(self, packet: Packet, action: Tunnel) -> None:
         encap = self._tunnel_encaps.get(action.endpoint)
         if encap is None:
@@ -503,14 +388,5 @@ class SdnSwitch(Node):
                 ("switch",), {"switch": self.name},
                 {"full": self.full_classifications},
             )
-            if self.batches_processed:
-                obs.metrics.fold_totals(
-                    "repro_switch_batches",
-                    "Datapath vector executions and the packets they "
-                    "carried",
-                    ("switch",), {"switch": self.name},
-                    {"batches": self.batches_processed,
-                     "packets": self.batch_packets},
-                )
         self.flow_cache.publish(now, tracer=sink)
         self.megaflow_cache.publish(now, tracer=sink)

@@ -19,6 +19,8 @@ from repro.netproto.dhcp import DhcpServer
 from repro.netproto.dns import Resolver, TrustAnchor, Zone, ZoneSigner
 from repro.netproto.tls import make_web_pki
 from repro.netsim import (
+    Host,
+    Link,
     Packet,
     Simulator,
     Tracer,
@@ -172,6 +174,31 @@ class TestMigrationFencesSwitchCache:
         switch.flow_cache.fence((source.lineage_id, result.epoch + 1),
                                 now=sim.now)
         assert len(switch.flow_cache) == 0
+
+    def test_owner_traffic_reaches_target_after_commit(self, deployed):
+        (sim, switch, _, manager, _), ack = deployed
+        core = Host(sim, "core", "10.255.0.1")
+        Link(switch, core, latency=0.001, bandwidth_bps=1e9)
+        source = manager.deployment(ack.deployment_id)
+        # Warm both cache tiers with an entry steering into the source.
+        switch.process(alice_packet())
+        assert source.datapath.packets_processed == 1
+
+        result = migrate_device(manager, ack.deployment_id, "dev_alice2",
+                                now=sim.now)
+        assert result.committed
+        target = manager.deployment(result.deployment_id)
+        switch.process(alice_packet(src_port=40001))
+        assert target.datapath.packets_processed == 1
+        assert source.datapath.packets_processed == 1
+        assert source.datapath.stale_rejections == 0
+        sim.run()
+        assert len(core.delivered) == 2
+        assert switch.packets_received == switch.packets_forwarded == 2
+        assert switch.packets_received == (
+            switch.packets_forwarded + switch.packets_dropped
+            + switch.packets_punted + switch.packets_consumed
+        )
 
     def test_stale_source_still_rejects_after_cutover(self, deployed):
         (sim, _, _, manager, _), ack = deployed

@@ -124,6 +124,38 @@ class TestPipelineRun:
         assert result.terminal_kind is VerdictKind.TUNNEL
         assert result.tunnel_endpoint == "cloud"
         assert result.labels == ("degraded:tunnel",)
+        assert result.packet is None
+        assert pipeline.packets_tunneled == 1
+
+    def test_empty_step_list_forwards(self):
+        pipeline = Pipeline("p", ())
+        result = pipeline.run(pkt(), ctx())
+        assert result.terminal_kind is VerdictKind.PASS
+        assert result.added_delay == 0.0
+        assert pipeline.packets_forwarded == 1
+
+    def test_extras_persist_across_steps_of_one_packet(self):
+        seen = []
+
+        def tag(p, c):
+            c.extras["tag"] = p.src_port
+            return Verdict.passed()
+
+        def check(p, c):
+            seen.append((p.src_port, c.extras.get("tag")))
+            return Verdict.passed()
+
+        pipeline = Pipeline("p", (
+            PipelineStep(name="check", runner=check),
+            PipelineStep(name="tag", runner=tag),
+            PipelineStep(name="check", runner=check),
+        ))
+        for port in (1001, 1002):
+            pipeline.run(pkt(src_port=port), pipeline.context(0.0, "alice"))
+        # A step sees what earlier steps of the same packet left in
+        # extras, never what the previous packet left.
+        assert seen == [(1001, None), (1001, 1001),
+                        (1002, None), (1002, 1002)]
 
     def test_counters_publish_through_tracer(self):
         tracer = Tracer()
@@ -161,6 +193,8 @@ class TestChainCompilation:
         result = chain.process(packet, ctx())
         assert result.packet is None
         assert packet.drop_reason.endswith(" (chain c1)")
+        assert chain.packets_in == 1
+        assert chain.packets_dropped == 1
 
 
 # -- pooled contexts ----------------------------------------------------------
@@ -237,146 +271,3 @@ class TestPooledContexts:
             executor(pkt(), "c")
         assert rec.stats["processed"] == 3
         assert rec.stats["passed"] == 3
-
-
-# -- batched execution --------------------------------------------------------
-
-
-def selective_dropper(name, delay=0.0):
-    """Drops packets owned by "bob"; passes everything else."""
-    return PipelineStep(
-        name=name, delay=delay,
-        runner=lambda p, c: (Verdict.dropped("bad owner")
-                             if p.owner == "bob" else Verdict.passed()),
-    )
-
-
-class TestRunBatch:
-    def make_pipeline(self):
-        return Pipeline("p", (
-            passing_step("a", delay=1.0),
-            selective_dropper("b", delay=2.0),
-            passing_step("c", delay=4.0),
-        ), drop_suffix=" (pvn)")
-
-    def test_batch_matches_scalar_per_packet_effects(self):
-        owners = ["alice", "bob", "carol", "bob", "dave"]
-        scalar = self.make_pipeline()
-        scalar_pkts = [pkt(owner=o) for o in owners]
-        scalar_results = [scalar.run(p, scalar.context(0.0, p.owner))
-                          for p in scalar_pkts]
-        vector = self.make_pipeline()
-        vector_pkts = [pkt(owner=o) for o in owners]
-        batch = vector.run_batch(
-            vector_pkts, vector.batch_contexts(vector_pkts, 0.0))
-        for i, res in enumerate(scalar_results):
-            assert batch.terminal_kinds[i] is res.terminal_kind
-            assert batch.added_delays[i] == pytest.approx(res.added_delay)
-            assert (batch.packets[i] is None) == (res.packet is None)
-            assert scalar_pkts[i].dropped == vector_pkts[i].dropped
-            assert scalar_pkts[i].drop_reason == vector_pkts[i].drop_reason
-        assert vector.counters() == scalar.counters()
-
-    def test_batch_drop_charges_delay_through_dropping_step(self):
-        pipeline = self.make_pipeline()
-        packets = [pkt(owner="bob")]
-        batch = pipeline.run_batch(
-            packets, pipeline.batch_contexts(packets, 0.0))
-        # Steps a (1.0) and b (2.0) were reached; c (4.0) was not.
-        assert batch.added_delays[0] == pytest.approx(3.0)
-        assert packets[0].drop_reason == "bad owner (pvn)"
-
-    def test_batch_precheck_abort_skips_the_steps_own_delay(self):
-        aborted = Verdict.dropped("middlebox x crashed")
-        pipeline = Pipeline("p", (
-            passing_step("a", delay=1.0),
-            passing_step("x", delay=50.0, precheck=lambda p, c: aborted),
-        ))
-        packets = [pkt()]
-        batch = pipeline.run_batch(
-            packets, pipeline.batch_contexts(packets, 0.0))
-        assert batch.terminal_kinds[0] is VerdictKind.DROP
-        assert batch.added_delays[0] == pytest.approx(1.0)
-
-    def test_batch_tunnel_records_endpoint(self):
-        pipeline = Pipeline.tunnel("p", "cloud", "degraded:tunnel")
-        packets = [pkt(), pkt(owner="bob")]
-        batch = pipeline.run_batch(
-            packets, pipeline.batch_contexts(packets, 0.0))
-        assert batch.terminal_kinds == [VerdictKind.TUNNEL] * 2
-        assert batch.tunnel_endpoints == ["cloud", "cloud"]
-        assert batch.packets == [None, None]
-        assert pipeline.packets_tunneled == 2
-
-    def test_batch_extras_persist_per_slot_without_leaking(self):
-        seen = []
-
-        def tag(p, c):
-            c.extras["tag"] = p.src_port
-            return Verdict.passed()
-
-        def check(p, c):
-            seen.append((p.src_port, c.extras.get("tag")))
-            return Verdict.passed()
-
-        pipeline = Pipeline("p", (
-            PipelineStep(name="tag", runner=tag),
-            PipelineStep(name="check", runner=check),
-        ))
-        packets = [pkt(src_port=1001), pkt(src_port=1002),
-                   pkt(src_port=1003)]
-        pipeline.run_batch(packets, pipeline.batch_contexts(packets, 0.0))
-        # Stage-major execution: each slot's extras survived to step 2
-        # and held its own packet's tag, not a neighbour's.
-        assert seen == [(1001, 1001), (1002, 1002), (1003, 1003)]
-
-    def test_batch_on_empty_step_list_forwards_everything(self):
-        pipeline = Pipeline("p", ())
-        packets = [pkt(), pkt(owner="bob")]
-        batch = pipeline.run_batch(
-            packets, pipeline.batch_contexts(packets, 0.0))
-        assert batch.terminal_kinds == [VerdictKind.PASS] * 2
-        assert batch.added_delays == [0.0, 0.0]
-        assert pipeline.packets_forwarded == 2
-
-    def test_batch_context_pool_reused_across_batches(self):
-        pipeline = Pipeline("p", (passing_step("a"),))
-        packets = [pkt(), pkt()]
-        first = pipeline.batch_contexts(packets, 0.0)
-        first[0].extras["leftover"] = True
-        second = pipeline.batch_contexts(packets, 1.0)
-        assert [id(c) for c in first] == [id(c) for c in second]
-        assert second[0].extras == {}
-        assert second[0].now == 1.0
-
-
-class TestChainBatch:
-    def _chain(self, callback=None):
-        return ServiceChain(
-            "c1",
-            [ChainHop(running(Recorder("r"))),
-             ChainHop(running(Blocker()))],
-            tunnel_callback=callback,
-        )
-
-    def test_chain_batch_accounting_matches_scalar(self):
-        scalar = self._chain()
-        for _ in range(3):
-            scalar.process(pkt(), ctx())
-        batched = self._chain()
-        batched.process_batch([pkt() for _ in range(3)])
-        assert batched.packets_in == scalar.packets_in == 3
-        assert batched.packets_dropped == scalar.packets_dropped == 3
-
-    def test_chain_batch_executor_returns_parallel_results(self):
-        chain = ServiceChain("c1", [ChainHop(running(Recorder("r")))])
-        executor = chain.as_batch_executor()
-        packets = [pkt(), pkt(owner="bob")]
-        results = executor(packets, "c1")
-        assert results == packets          # all passed through
-
-    def test_chain_batch_drop_reason_keeps_chain_suffix(self):
-        chain = self._chain()
-        packets = [pkt()]
-        chain.process_batch(packets)
-        assert packets[0].drop_reason.endswith(" (chain c1)")

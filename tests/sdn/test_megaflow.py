@@ -1,27 +1,25 @@
-"""Tests for the megaflow wildcard tier and batched switch datapath.
+"""Tests for the megaflow wildcard tier of the switch datapath.
 
 The load-bearing property (hypothesis-tested below): for *any*
 interleaving of rule installs, PVN removals, epoch fences, and packets,
-a switch running the full three-tier fast path — and one running it
-with batched execution — is observably equivalent to the plain linear
+a switch running the full three-tier fast path — and one running the
+megaflow tier alone — is observably equivalent to the plain linear
 table scan: same drop decisions, same per-rule match statistics, same
-table misses, same conservation counters.  The wildcard tier and the
-vector executor may only be faster, never different.
+table misses, same conservation counters.  The cache tiers may only be
+faster, never different.
 
 Also pinned here: the mask-derivation invariants of
 :meth:`FlowTable.classify` (winner pins its tested fields, every
 rejected rule pins its first failing field), the fences on the
-megaflow tier, LRU eviction across masks, chain-group batching, and
-same-tick coalescing via :class:`TickBatcher`.
+megaflow tier, and LRU eviction across masks.
 """
 
 import itertools
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.netsim import Host, Link, Packet, Simulator
-from repro.sdn import Controller, Drop, Match, Output, SdnSwitch, ToChain
+from repro.netsim import Packet, Simulator
+from repro.sdn import Controller, Drop, Match, SdnSwitch
 from repro.sdn.flowcache import MegaflowCache
 from repro.sdn.flowtable import FlowRule
 from repro.sdn.match import EMPTY_MASK, MatchMask
@@ -69,25 +67,17 @@ _ops = st.one_of(
 class TestMegaflowEquivalence:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_ops, max_size=40))
-    def test_megaflow_and_batch_equal_linear_scan(self, ops):
+    def test_cache_tiers_equal_linear_scan(self, ops):
         linear = make_switch(micro=False, mega=False)
         mega = make_switch(micro=True, mega=True)
-        batched = make_switch(micro=True, mega=True)
-        switches = (linear, mega, batched)
+        mega_only = make_switch(micro=False, mega=True)
+        switches = (linear, mega, mega_only)
         rule_ids = itertools.count(20_000_000)  # same ids in all tables
         epochs = itertools.count(1)
-        pending: list[Packet] = []      # batched switch's open burst
-        fates: list[tuple[Packet, Packet]] = []
-
-        def flush():
-            if pending:
-                batched.process_batch(list(pending))
-                pending.clear()
 
         for op in ops:
             if op[0] == "install":
                 _, owner_idx, dst_port, src_cidr, priority = op
-                flush()                 # table mutates: close the burst
                 rule_id = next(rule_ids)
                 for switch in switches:
                     switch.table.install(FlowRule(
@@ -99,11 +89,9 @@ class TestMegaflowEquivalence:
                         rule_id=rule_id,
                     ))
             elif op[0] == "remove_pvn":
-                flush()
                 for switch in switches:
                     switch.table.remove_pvn(f"u{op[1]}/d")
             elif op[0] == "fence":
-                flush()
                 token = ("migration", next(epochs))
                 for switch in switches:
                     switch.fence(token, now=0.0)
@@ -112,33 +100,22 @@ class TestMegaflowEquivalence:
                 trio = [flow_pkt(owner=f"u{owner_idx}", dst_port=dst_port,
                                  src=f"10.{src_octet}.0.9")
                         for _ in switches]
-                linear.process(trio[0])
-                mega.process(trio[1])
-                pending.append(trio[2])
-                # Scalar paths agree immediately; the batched packet is
-                # checked after its burst flushes (table state at flush
-                # time is identical — bursts close before any mutation).
-                assert trio[0].dropped == trio[1].dropped
-                assert trio[0].drop_reason == trio[1].drop_reason
-                fates.append((trio[0], trio[2]))
-        flush()
+                for switch, packet in zip(switches, trio):
+                    switch.process(packet)
+                for packet in trio[1:]:
+                    assert packet.dropped == trio[0].dropped
+                    assert packet.drop_reason == trio[0].drop_reason
 
-        for scalar_pkt, batch_pkt in fates:
-            assert scalar_pkt.dropped == batch_pkt.dropped
-            assert scalar_pkt.drop_reason == batch_pkt.drop_reason
         base = linear.counters()
-        assert mega.counters() == base
-        assert batched.counters() == base
-        assert mega.table.misses == linear.table.misses
-        assert batched.table.misses == linear.table.misses
         stats = {
             r.rule_id: (r.packets_matched, r.bytes_matched)
             for r in linear.table.rules
         }
-        assert {r.rule_id: (r.packets_matched, r.bytes_matched)
-                for r in mega.table.rules} == stats
-        assert {r.rule_id: (r.packets_matched, r.bytes_matched)
-                for r in batched.table.rules} == stats
+        for switch in (mega, mega_only):
+            assert switch.counters() == base
+            assert switch.table.misses == linear.table.misses
+            assert {r.rule_id: (r.packets_matched, r.bytes_matched)
+                    for r in switch.table.rules} == stats
 
 
 # -- mask derivation ----------------------------------------------------------
@@ -425,132 +402,3 @@ def _table_for(owner):
     table = FlowTable()
     table.install(FlowRule(match=Match(owner=owner), actions=(Drop(),)))
     return table
-
-
-# -- batched switch execution -------------------------------------------------
-
-
-def assert_conservation(switch):
-    assert switch.packets_received == (
-        switch.packets_forwarded + switch.packets_dropped
-        + switch.packets_punted + switch.packets_consumed
-    )
-
-
-class TestProcessBatch:
-    def _wire(self):
-        sim = Simulator()
-        a = Host(sim, "a", "10.0.0.1")
-        b = Host(sim, "b", "10.0.1.1")
-        switch = SdnSwitch(sim, "sw")
-        Link(a, switch, latency=0.001, bandwidth_bps=1e9)
-        Link(switch, b, latency=0.001, bandwidth_bps=1e9)
-        ctrl = Controller()
-        ctrl.adopt(switch)
-        return sim, switch, ctrl
-
-    def test_batch_counters_match_scalar_processing(self):
-        outcomes = {}
-        for mode in ("scalar", "batch"):
-            sim, switch, ctrl = self._wire()
-            calls = []
-
-            def scalar_exec(packet, chain_id):
-                calls.append(1)
-                return None
-
-            def batch_exec(packets, chain_id):
-                calls.append(len(packets))
-                return [None] * len(packets)
-
-            switch.bind_chain("eater", scalar_exec)
-            switch.bind_chain_batch("eater", batch_exec)
-            ctrl.install("sw", Match(owner="fwd"), (Output("b"),))
-            ctrl.install("sw", Match(owner="drop"), (Drop(),))
-            ctrl.install("sw", Match(owner="eat"), (ToChain("eater"),))
-            packets = []
-            for owner, copies in [("fwd", 2), ("drop", 3), ("eat", 4),
-                                  ("nobody", 1)]:
-                packets.extend(flow_pkt(owner=owner) for _ in range(copies))
-            if mode == "scalar":
-                # Scalar path must not consult the batch executor.
-                switch._chain_batch_executors.clear()
-                for packet in packets:
-                    switch.process(packet)
-            else:
-                switch.process_batch(packets)
-                # The whole chain group went through one vector call.
-                assert calls == [4]
-                assert switch.batches_processed == 1
-                assert switch.batch_packets == 10
-            sim.run()
-            assert_conservation(switch)
-            outcomes[mode] = switch.counters()
-        assert outcomes["scalar"] == outcomes["batch"]
-
-    def test_batch_resume_charges_chain_delay(self):
-        sim, switch, ctrl = self._wire()
-
-        def batch_exec(packets, chain_id):
-            for packet in packets:
-                packet.metadata["chain_delay"] = 0.5
-            return list(packets)
-
-        switch.bind_chain_batch("c", batch_exec)
-        switch.bind_chain("c", lambda p, cid: p)
-        ctrl.install("sw", Match(owner="alice"),
-                     (ToChain("c", resume_neighbor="b"),))
-        switch.process_batch([flow_pkt(), flow_pkt(src_port=40001)])
-        assert switch.packets_forwarded == 2
-        sim.run()
-        # Resumed sends were deferred by the reported chain delay.
-        assert sim.now >= 0.5
-
-    def test_batch_without_vector_executor_uses_scalar_chain(self):
-        sim, switch, ctrl = self._wire()
-        seen = []
-        switch.bind_chain("c", lambda p, cid: seen.append(p) or None)
-        ctrl.install("sw", Match(owner="alice"), (ToChain("c"),))
-        switch.process_batch([flow_pkt(), flow_pkt(src_port=40001)])
-        assert len(seen) == 2
-        assert switch.packets_consumed == 2
-        assert_conservation(switch)
-
-
-class TestTickBatching:
-    def test_same_tick_deliveries_coalesce_into_one_vector(self):
-        sim = Simulator()
-        switch = SdnSwitch(sim, "sw")
-        switch.table.install(FlowRule(match=Match(owner="alice"),
-                                      actions=(Drop(),)))
-        switch.enable_tick_batching()
-        for port in range(5):
-            sim.schedule(1.0, switch.receive,
-                         flow_pkt(src_port=40000 + port), None)
-        sim.run()
-        assert switch.tick_batcher.flushes == 1
-        assert switch.tick_batcher.max_batch == 5
-        assert switch.batches_processed == 1
-        assert switch.batch_packets == 5
-        assert switch.packets_dropped == 5
-        assert_conservation(switch)
-
-    def test_distinct_ticks_flush_separately(self):
-        sim = Simulator()
-        switch = SdnSwitch(sim, "sw")
-        switch.enable_tick_batching()
-        sim.schedule(1.0, switch.receive, flow_pkt(), None)
-        sim.schedule(2.0, switch.receive, flow_pkt(src_port=40001), None)
-        sim.run()
-        assert switch.tick_batcher.flushes == 2
-        assert switch.tick_batcher.mean_batch == 1.0
-
-    def test_disabling_restores_per_packet_processing(self):
-        sim = Simulator()
-        switch = SdnSwitch(sim, "sw")
-        switch.enable_tick_batching()
-        switch.enable_tick_batching(False)
-        assert switch.tick_batcher is None
-        switch.receive(flow_pkt(), None)
-        assert switch.packets_received == 1
-        assert switch.batches_processed == 0

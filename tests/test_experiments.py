@@ -31,7 +31,7 @@ FAST_PARAMS = {
     "F1C": dict(n_flows=100, fractions=(0.0, 0.5, 1.0)),
     "E19": dict(sweep=((40, 6.0), (80, 8.0)), flash_crowd_users=12,
                 autoscale_ticks=6),
-    "E21": dict(rule_counts=(50,), repeats=1, batch_packets=512),
+    "E21": dict(rule_counts=(50,), repeats=1),
     "E22": dict(parity_users=32, parity_flash=8, parity_ticks=4,
                 incident_users=48, surge_tick=5, surge_factor=8.0,
                 incident_horizon=16),
@@ -71,7 +71,7 @@ UNPINNED = {
     "E16": "wall-clock microflow vs linear-scan pps",
     "E17": "wall-clock obs-on/obs-off overhead",
     "E18": "wall-clock attach throughput",
-    "E21": "wall-clock classification and pipeline pps",
+    "E21": "wall-clock classification pps per datapath",
     "E23": "wall-clock fluid vs packet engine speedup",
 }
 
@@ -106,7 +106,6 @@ def test_experiments_deterministic(experiment_id):
     assert first.rows == second.rows
 
 
-
 def test_every_experiment_pinned_or_excused():
     assert set(GOLDEN_DIGESTS) | set(UNPINNED) == set(ALL_EXPERIMENTS)
     assert not set(GOLDEN_DIGESTS) & set(UNPINNED)
@@ -117,6 +116,7 @@ def test_golden_behaviour_digest(experiment_id):
     run = ALL_EXPERIMENTS[experiment_id]
     result = run(seed=1, **FAST_PARAMS.get(experiment_id, {}))
     assert behaviour_digest(result) == GOLDEN_DIGESTS[experiment_id]
+
 
 def test_unknown_metric_lookup_raises():
     result = fig1c.run(seed=0, n_flows=20, fractions=(0.5,))
