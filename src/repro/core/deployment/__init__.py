@@ -41,11 +41,6 @@ from repro.core.deployment.manager import (
     DeploymentState,
     PvnDataPath,
 )
-from repro.core.deployment.recovery import (
-    RecoveryEvent,
-    RecoveryPolicy,
-    RobustnessSupervisor,
-)
 from repro.core.deployment.telemetry import TelemetryFeed
 
 __all__ = [
@@ -67,10 +62,7 @@ __all__ = [
     "MigrationSpec",
     "MigrationTransaction",
     "PvnDataPath",
-    "RecoveryEvent",
-    "RecoveryPolicy",
     "RepairResult",
-    "RobustnessSupervisor",
     "TelemetryFeed",
     "admission_headroom",
     "degrade_to_tunnel",

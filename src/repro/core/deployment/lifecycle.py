@@ -10,7 +10,7 @@
 * **Expiry sweeps** — deployments are leased; unfunded leases are torn
   down, freeing NFV capacity.
 * **Health & repair** — crashed middlebox containers are restarted in
-  place, or re-embedded onto live hosts when their original host died.
+  place; a chain on a dead host is evacuated by the reconciler.
 * **Degradation** — a deployment that cannot be repaired within budget
   falls back to :mod:`repro.core.tunneling` VPN mode (the paper's
   incremental-deployment story run in reverse: when the in-network PVN
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.core.deployment.embedding import embed_pvn
 from repro.core.deployment.manager import (
     Deployment,
     DeploymentManager,
@@ -29,13 +28,12 @@ from repro.core.deployment.manager import (
 )
 from repro.core.deployment.migration import (
     MigrationResult,
-    MigrationSpec,
     ensure_coordinator,
 )
 from repro.core.tunneling.vpn import FullTunnel
-from repro.errors import DeploymentError, ReproError
+from repro.errors import DeploymentError
 from repro.netproto.dhcp import DhcpServer, Lease
-from repro.nfv.container import Container, ContainerState
+from repro.nfv.container import ContainerState
 
 
 def refresh_address(
@@ -61,7 +59,6 @@ def migrate_device(
     now: float = 0.0,
     leases: "LeaseTable | None" = None,
     ledger=None,
-    spec: MigrationSpec | None = None,
 ) -> MigrationResult:
     """Stateful make-before-break migration after the device moved APs.
 
@@ -74,8 +71,7 @@ def migrate_device(
     funding lease all follow the surviving deployment id.  Any failure
     rolls back to the untouched source deployment.
     """
-    coordinator = ensure_coordinator(manager, spec=spec, ledger=ledger,
-                                     leases=leases)
+    coordinator = ensure_coordinator(manager, ledger=ledger, leases=leases)
     return coordinator.migrate(deployment_id, new_device_node, now)
 
 
@@ -148,22 +144,20 @@ class RepairResult:
 
     repaired: bool
     restarted: tuple[str, ...] = ()   # rebooted on their original host
-    moved: tuple[str, ...] = ()       # re-embedded onto a live host
     reason: str = ""
 
 
 def repair_deployment(
     manager: DeploymentManager, deployment_id: str, now: float
 ) -> RepairResult:
-    """Bring a damaged deployment back to full health, if possible.
+    """Restart a deployment's crashed containers in place, if possible.
 
-    Crashed containers whose host is still alive are restarted in
-    place (one instantiation time).  Containers stranded on a dead
-    host are re-embedded: :func:`embed_pvn` re-places the chain over
-    the surviving hosts and down-link-free paths, and fresh containers
-    are launched at the new locations.  Failure to re-embed (capacity
-    exhausted, network partitioned) is reported, not raised — the
-    caller's repair budget decides when to degrade to tunneling.
+    Crashed containers whose host is alive (or which run on no host)
+    are restarted where they are, at one instantiation time.  A
+    container stranded on a dead host cannot be restarted: moving the
+    chain off a dead host is evacuation's job
+    (:class:`~repro.core.deployment.reconciler.Reconciler`), so the
+    failure is reported, not raised, and nothing is restarted.
     """
     deployment = manager.deployment(deployment_id)
     if deployment.state is not DeploymentState.ACTIVE:
@@ -178,73 +172,27 @@ def repair_deployment(
     host_by_service = {
         d.service: d.node for d in deployment.embedding.plan.decisions
     }
-    restarted: list[str] = []
-    stranded: list[str] = []
-    for service in crashed:
-        node = host_by_service.get(service, "")
-        host = manager.hosts.get(node)
-        if host is not None and host.alive:
-            container = deployment.containers[service]
-            if manager.sim is not None:
-                container.start(manager.sim)
-            else:
-                container.start_immediately(now)
-            restarted.append(service)
-        else:
-            stranded.append(service)
-
-    moved: list[str] = []
+    dead = {name for name, host in manager.hosts.items() if not host.alive}
+    stranded = [s for s in crashed if host_by_service.get(s) in dead]
     if stranded:
-        live_hosts = {
-            name: host for name, host in manager.hosts.items() if host.alive
-        }
-        try:
-            new_embedding = embed_pvn(
-                deployment.compiled, manager.topo, live_hosts,
-                device_node=deployment.embedding.device_node,
-                gateway_node=deployment.embedding.gateway_node,
-            )
-        except ReproError as exc:
-            return RepairResult(
-                repaired=False, restarted=tuple(restarted),
-                reason=f"re-embedding failed: {exc}",
-            )
-        new_nodes = {
-            d.service: d.node for d in new_embedding.plan.decisions
-        }
-        for service in stranded:
-            old = deployment.containers[service]
-            replacement = Container(
-                old.middlebox, spec=manager.container_spec,
-                owner=deployment.user,
-            )
-            target = live_hosts.get(new_nodes.get(service, ""))
-            try:
-                if target is not None:
-                    target.launch(replacement, sim=manager.sim, now=now)
-                else:
-                    replacement.start_immediately(now)
-            except ReproError as exc:
-                return RepairResult(
-                    repaired=False, restarted=tuple(restarted),
-                    moved=tuple(moved),
-                    reason=f"relaunch of {service} failed: {exc}",
-                )
-            deployment.containers[service] = replacement
-            moved.append(service)
-        deployment.embedding = new_embedding
+        return RepairResult(
+            repaired=False,
+            reason=f"host dead under {','.join(stranded)}; evacuate",
+        )
+    for service in crashed:
+        container = deployment.containers[service]
+        if manager.sim is not None:
+            container.start(manager.sim)
+        else:
+            container.start_immediately(now)
 
     deployment.repairs += 1
     if manager.tracer is not None:
         manager.tracer.emit(
             now, "recovery", manager.provider, event="repaired",
-            deployment_id=deployment_id,
-            restarted=",".join(restarted), moved=",".join(moved),
+            deployment_id=deployment_id, restarted=",".join(crashed),
         )
-    return RepairResult(
-        repaired=True, restarted=tuple(restarted), moved=tuple(moved),
-        reason="repaired",
-    )
+    return RepairResult(repaired=True, restarted=crashed, reason="repaired")
 
 
 def degrade_to_tunnel(

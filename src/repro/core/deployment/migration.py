@@ -38,8 +38,8 @@ transactional handoff.  This module provides it, in four pieces:
   before mutating the world.  A crash mid-migration (injected via
   :mod:`repro.faults`) leaves an open transaction that
   :meth:`MigrationCoordinator.recover` — called by the
-  :class:`~repro.core.deployment.recovery.RobustnessSupervisor` on its
-  check loop — resolves deterministically: roll *forward* once the
+  :class:`~repro.core.deployment.reconciler.Reconciler` on its converge
+  loop — resolves deterministically: roll *forward* once the
   COMMIT intent is journaled, roll *back* otherwise.
 """
 
@@ -847,9 +847,9 @@ class MigrationCoordinator:
 
         Instantiation is already event-scheduled by ``host.launch``;
         this advances the clock through the transfer/commit window so
-        downstream events (supervisor ticks, probes) observe the cost.
+        downstream events (reconciler ticks, probes) observe the cost.
         When called from inside an event (e.g. journal replay on a
-        supervisor tick) the clock cannot be driven re-entrantly; a
+        reconciler tick) the clock cannot be driven re-entrantly; a
         marker event at the handoff's end time charges it instead.
         """
         sim = self.manager.sim
@@ -894,7 +894,6 @@ class MigrationCoordinator:
 
 def ensure_coordinator(
     manager: DeploymentManager,
-    spec: MigrationSpec | None = None,
     ledger: "EvidenceLedger | None" = None,
     leases=None,
 ) -> MigrationCoordinator:
@@ -906,8 +905,8 @@ def ensure_coordinator(
     """
     coordinator = manager.migration_coordinator
     if coordinator is None:
-        coordinator = MigrationCoordinator(manager, spec=spec,
-                                           ledger=ledger, leases=leases)
+        coordinator = MigrationCoordinator(manager, ledger=ledger,
+                                           leases=leases)
         manager.migration_coordinator = coordinator
     else:
         if ledger is not None and coordinator.fencing.ledger is None:

@@ -1,26 +1,22 @@
 """Declarative self-healing: desired state, diffed continuously.
 
-The :class:`~repro.core.deployment.recovery.RobustnessSupervisor`
-(PR 1) is *imperative*: it watches live deployments and repairs the
-ones that break.  That leaves two failure classes uncovered: a
-deployment that disappears entirely (its host crashed and took the
-containers, their reservations, and the record's usefulness with it),
-and a control plane that cannot tell a crashed host from a partitioned
-one.  This module adds the declarative half:
+One converge loop keeps every PVN alive: repair it in place if you
+can, otherwise fall back to the tunnel (§3.3).  This module holds:
 
 * :class:`DesiredState` — the source of truth: one
   :class:`DeploymentSpec` per user saying what *should* be running,
   independent of what currently is;
 * :class:`Reconciler` — a converge loop on the simulator clock that
-  every tick (a) classifies hosts through the phi-accrual detector
-  (:mod:`repro.health`), (b) evacuates deployments off confirmed-dead
-  hosts through journaled
+  every tick (a) replays the migration journal, (b) classifies hosts
+  through the phi-accrual detector (:mod:`repro.health`), (c)
+  evacuates deployments off confirmed-dead hosts through journaled
   :meth:`~repro.core.deployment.migration.MigrationCoordinator
   .evacuate` transactions, restoring middlebox state from the
-  replicator's snapshots, (c) re-diffs desired against observed state
-  and redeploys anything missing (or degrades to the VPN fallback when
-  the substrate can't take it), and (d) prunes actual state no spec
-  wants anymore;
+  replicator's snapshots, (d) restarts crashed containers in place on
+  live hosts, (e) re-diffs desired against observed state and
+  redeploys anything missing, and (f) prunes actual state no spec
+  wants anymore.  A deployment whose evacuations or restarts exhaust
+  one shared budget degrades to the VPN fallback;
 * :class:`StateReplicator` — periodic checkpoints of every dedicated
   container, so host death loses at most one replication interval of
   middlebox state instead of all of it.
@@ -30,14 +26,23 @@ declares DEAD while a declared partition window is open is *deferred*
 (the beats will return when the partition heals; evacuating would be a
 false positive and double-run the user's chain), up to a grace budget
 after which the reconciler evacuates anyway — a partition long enough
-is operationally a crash.
+is operationally a crash.  Host death is the detector's call alone:
+the restart rule leaves any deployment with a dead host to evacuation.
+
+Every action is appended to the event log and — when a device's
+evidence ledger is attached — recorded as ``fault:reconcile_*``
+evidence, so the §3.1 audit trail accounts for the full fault history.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from repro.core.deployment.lifecycle import degrade_to_tunnel
+from repro.core.deployment.lifecycle import (
+    degrade_to_tunnel,
+    health_check,
+    repair_deployment,
+)
 from repro.core.deployment.manager import (
     Deployment,
     DeploymentManager,
@@ -132,8 +137,9 @@ class ReconcilePolicy:
     #: Evacuations driven per tick (the rest stay queued) — bounds the
     #: control-plane burst a multi-host failure can cause.
     max_evacuations_per_tick: int = 8
-    #: Evacuation attempts per deployment before degrading to tunnel.
-    max_evacuation_attempts: int = 3
+    #: Evacuations, or in-place restarts within one continuous outage,
+    #: per deployment before degrading to tunnel.
+    max_attempts: int = 3
     fallback_endpoint: str = "cloud"
     #: Replication cadence for :class:`StateReplicator` (0 disables).
     replica_interval: float = 1.0
@@ -145,8 +151,8 @@ class ReconcilePolicy:
             raise ConfigurationError("partition_grace must be >= 0")
         if self.max_evacuations_per_tick < 1:
             raise ConfigurationError("max_evacuations_per_tick must be >= 1")
-        if self.max_evacuation_attempts < 1:
-            raise ConfigurationError("max_evacuation_attempts must be >= 1")
+        if self.max_attempts < 1:
+            raise ConfigurationError("max_attempts must be >= 1")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -154,7 +160,7 @@ class ReconcileEvent:
     """One reconciler action (the audit-facing trace)."""
 
     time: float
-    kind: str       # host_dead | deferred | evacuated | degraded | ...
+    kind: str       # host_dead | evacuated | repaired | degraded | ...
     subject: str    # host or deployment id
     detail: str
 
@@ -167,7 +173,7 @@ class RepairRecord:
     host: str
     detected_at: float
     resolved_at: float
-    action: str     # evacuated | degraded | redeployed
+    action: str     # evacuated | repaired | degraded | redeployed
 
     @property
     def repair_time(self) -> float:
@@ -293,6 +299,7 @@ class Reconciler:
         self._replay_migrations(now)
         self._classify_hosts(now)
         self._drain_evacuations(now)
+        self._restart_crashed(now)
         self._replicate(now)
         self._converge_desired(now)
         self.sim.schedule(self.policy.interval, self._tick)
@@ -427,9 +434,9 @@ class Reconciler:
             self._emit(
                 now, "evacuation_failed", deployment_id,
                 f"attempt {attempts}/"
-                f"{self.policy.max_evacuation_attempts}: {reason}",
+                f"{self.policy.max_attempts}: {reason}",
             )
-            if attempts >= self.policy.max_evacuation_attempts:
+            if attempts >= self.policy.max_attempts:
                 self._degrade(deployment_id, host_name, now)
             else:
                 retry.append((deployment_id, host_name))
@@ -437,7 +444,7 @@ class Reconciler:
 
     def _degrade(self, deployment_id: str, host_name: str,
                  now: float) -> None:
-        """Evacuation budget exhausted: protect via the VPN fallback —
+        """Attempt budget exhausted: protect via the VPN fallback —
         stale-state service beats policy bypass, and policy bypass
         beats nothing, but a tunnel we can always have."""
         try:
@@ -449,6 +456,10 @@ class Reconciler:
             self._emit(now, "degrade_failed", deployment_id, str(exc))
             return
         self.tunnels[deployment_id] = tunnel
+        # Snapshot the datapath's counters at the moment of degradation
+        # (the setter just flushed its compiled pipelines), so chaos
+        # runs see the fast path torn down, not just the event.
+        self.manager.deployments[deployment_id].datapath.publish_counters(now)
         detected = self._outage_started.pop(deployment_id, now)
         self.repairs.append(RepairRecord(
             deployment_id=deployment_id, host=host_name,
@@ -466,6 +477,53 @@ class Reconciler:
                 ("provider", "outcome"),
             ).labels(provider=self.manager.provider,
                      outcome="degraded").inc()
+
+    # -- in-place restart -------------------------------------------------
+
+    def _restart_crashed(self, now: float) -> None:
+        """Restart crashed containers on live hosts (or on no host).
+
+        A deployment with a dead host is left to detection and
+        evacuation.  Restarts count against the shared attempt budget
+        until a tick sees the deployment healthy again, so a crash loop
+        degrades instead of restarting forever.
+        """
+        queued = {deployment_id for deployment_id, _ in self._queue}
+        for deployment_id in sorted(self.manager.deployments):
+            deployment = self.manager.deployments[deployment_id]
+            if (deployment.state is not DeploymentState.ACTIVE
+                    or deployment_id in queued):
+                continue
+            report = health_check(self.manager, deployment_id)
+            if report.dead_hosts:
+                continue
+            if not report.crashed_services:
+                self._attempts.pop(deployment_id, None)
+                self._outage_started.pop(deployment_id, None)
+                continue
+            self._outage_started.setdefault(deployment_id, now)
+            host_name = ",".join(sorted({
+                d.node for d in deployment.embedding.plan.decisions
+                if d.service in report.crashed_services
+            }))
+            attempts = self._attempts.get(deployment_id, 0) + 1
+            if attempts > self.policy.max_attempts:
+                self._degrade(deployment_id, host_name, now)
+                continue
+            self._attempts[deployment_id] = attempts
+            # No crashed container sits on a dead host here, so the
+            # in-place restart cannot fail.
+            result = repair_deployment(self.manager, deployment_id, now)
+            self.repairs.append(RepairRecord(
+                deployment_id=deployment_id, host=host_name,
+                detected_at=now, resolved_at=self.sim.now,
+                action="repaired",
+            ))
+            self._emit(
+                now, "repaired", deployment_id,
+                f"attempt {attempts}/{self.policy.max_attempts}: "
+                f"restarted {','.join(result.restarted)}",
+            )
 
     # -- replication ------------------------------------------------------
 

@@ -21,7 +21,7 @@ from repro.core.auditor.measurements import (
 )
 from repro.core.auditor.reputation import ReputationSystem
 from repro.core.auditor.violations import EvidenceLedger
-from repro.core.deployment.manager import Deployment
+from repro.core.deployment.manager import Deployment, DeploymentState
 from repro.core.discovery.messages import DeploymentNack
 from repro.core.discovery.negotiation import (
     NegotiationOutcome,
@@ -57,7 +57,24 @@ class PvnConnection:
 
     @property
     def deployment(self) -> Deployment:
-        return self.provider.manager.deployment(self.deployment_id)
+        """The live deployment of this connection's lineage.
+
+        A recovery commit (migration, evacuation, journal roll-forward)
+        supersedes the stored deployment; the connection then follows
+        the survivor — the lineage's highest epoch — and re-points its
+        ``deployment_id`` at it.
+        """
+        manager = self.provider.manager
+        deployment = manager.deployment(self.deployment_id)
+        if deployment.state is DeploymentState.SUPERSEDED:
+            lineage = deployment.lineage_id
+            deployment = max(
+                (d for d in manager.deployments_for(deployment.user)
+                 if d.lineage_id == lineage),
+                key=lambda d: d.epoch,
+            )
+            self.deployment_id = deployment.deployment_id
+        return deployment
 
 
 def _null_scope():

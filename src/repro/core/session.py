@@ -84,7 +84,7 @@ class PvnSession:
         self.device = device
         self.sim = sim
         self.extra_providers: list[AccessProvider] = []
-        self.supervisor = None      # RobustnessSupervisor, via enable_robustness
+        self.reconciler = None      # Reconciler, via enable_robustness
         self.injector = None        # FaultInjector, via inject_faults
 
     @classmethod
@@ -183,18 +183,21 @@ class PvnSession:
     # -- robustness --------------------------------------------------------
 
     def enable_robustness(self, policy=None):
-        """Start the detect->repair->degrade supervisor on this
-        session's simulator clock, wired to the device's evidence
-        ledger.  Idempotent; returns the supervisor."""
-        from repro.core.deployment.recovery import RobustnessSupervisor
+        """Start the self-healing :class:`~repro.core.deployment.
+        reconciler.Reconciler` on this session's simulator clock, fed
+        by the provider's health plane and wired to the device's
+        evidence ledger.  Idempotent; returns the reconciler."""
+        from repro.core.deployment.reconciler import Reconciler
+        from repro.health import ensure_health
 
-        if self.supervisor is None:
-            self.supervisor = RobustnessSupervisor(
-                self.provider.manager, self.sim, policy=policy,
-                ledger=self.device.ledger,
+        if self.reconciler is None:
+            self.reconciler = Reconciler(
+                self.provider.manager, self.sim,
+                ensure_health(self.provider, self.sim),
+                policy=policy, ledger=self.device.ledger,
             )
-        self.supervisor.start()
-        return self.supervisor
+        self.reconciler.start()
+        return self.reconciler
 
     def inject_faults(self, plan):
         """Schedule a :class:`~repro.faults.FaultPlan` (or DSL text)
@@ -217,8 +220,8 @@ class PvnSession:
         (:mod:`repro.core.deployment.migration`): target containers
         instantiated at the new AP, middlebox state checkpointed and
         restored, epoch-fenced atomic cutover.  On commit the device's
-        connection follows the surviving deployment id; on rollback it
-        keeps the intact source.  Returns the
+        connection follows the surviving deployment of its lineage; on
+        rollback it keeps the intact source.  Returns the
         :class:`~repro.core.deployment.migration.MigrationResult`.
         """
         from repro.core.deployment.lifecycle import migrate_device
@@ -227,16 +230,16 @@ class PvnSession:
             raise NegotiationError("connect() first")
         if new_device_node not in self.provider.topo.graph:
             self.provider.attach_device(new_device_node, ap=ap, **wireless)
+        source_id = self.device.connection.deployment.deployment_id
         obs = obs_runtime.current()
         clock = lambda: self.sim.now  # noqa: E731
         scope = (obs.span("session.migrate", clock,
-                          source=self.device.connection.deployment_id,
-                          target_node=new_device_node)
+                          source=source_id, target_node=new_device_node)
                  if obs is not None else contextlib.nullcontext())
         with scope as span:
             result = migrate_device(
                 self.provider.manager,
-                self.device.connection.deployment_id,
+                source_id,
                 new_device_node,
                 now=self.sim.now,
                 leases=leases,
@@ -246,7 +249,6 @@ class PvnSession:
                 span.set(committed=result.committed,
                          deployment_id=result.deployment_id)
         if result.committed:
-            self.device.connection.deployment_id = result.deployment_id
             self.device.node_name = new_device_node
         return result
 
@@ -297,6 +299,6 @@ class PvnSession:
     def teardown(self) -> None:
         if self.device.connection is not None:
             self.provider.manager.teardown(
-                self.device.connection.deployment_id
+                self.device.connection.deployment.deployment_id
             )
             self.device.connection = None

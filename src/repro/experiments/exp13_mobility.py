@@ -59,7 +59,6 @@ def run(seed: int = 0) -> ExperimentResult:
     )
     assert migration.committed, migration.reason
     assert home_deployment_id not in leases.leases  # funding followed
-    session.device.connection.deployment_id = migration.deployment_id
     handoff_cost = migration.handoff_time + rtt
     rows.append((
         "AP handoff (same provider)",

@@ -21,7 +21,7 @@ import hashlib
 
 from repro.core import PvnSession, default_pvnc
 from repro.core.deployment.manager import DeploymentState
-from repro.core.deployment.recovery import RecoveryPolicy
+from repro.core.deployment.reconciler import ReconcilePolicy
 from repro.core.discovery.retry import RetryPolicy
 from repro.experiments.harness import ExperimentResult, main
 from repro.faults import FaultKind, make_event, normalise_ids
@@ -70,8 +70,8 @@ def _execute(seed: int) -> dict:
     assert outcome.deployed, outcome.reason
     deployment = session.provider.manager.deployments[outcome.deployment_id]
 
-    supervisor = session.enable_robustness(
-        RecoveryPolicy(check_interval=0.25, max_repair_attempts=3)
+    reconciler = session.enable_robustness(
+        ReconcilePolicy(interval=0.25, max_attempts=3)
     )
     session.inject_faults(CHAOS_SCRIPT)
 
@@ -87,7 +87,7 @@ def _execute(seed: int) -> dict:
     session.sim.run(until=5.0)
     end_probe = session.send(probe)
 
-    tunnel = supervisor.tunnels.get(outcome.deployment_id)
+    tunnel = reconciler.tunnels.get(outcome.deployment_id)
     ledger = session.device.ledger
 
     # Accounting: every applied fault must appear in the audit ledger.
@@ -101,8 +101,8 @@ def _execute(seed: int) -> dict:
 
     blob = "\n".join([
         injector.trace(),
-        *(f"{e.time:.6f} {e.deployment_id} {e.kind} {e.detail}"
-          for e in supervisor.events),
+        *(f"{e.time:.6f} {e.subject} {e.kind} {e.detail}"
+          for e in reconciler.events),
         *(f"{r.time:.6f} {r.deployment_id} {r.test} {r.detail}"
           for r in ledger.fault_records()),
     ])
@@ -126,8 +126,12 @@ def _execute(seed: int) -> dict:
         "degraded_to": deployment.degraded_to,
         "tunnel_rtt": (tunnel.effective_path("origin").rtt
                        if tunnel is not None else float("nan")),
-        "unresolved": len(supervisor.unresolved()),
-        "supervisor_events": len(supervisor.events),
+        # A silent hang: a deployment still ACTIVE with a crashed
+        # container the loop neither restarted nor degraded.
+        "unresolved": sum(
+            1 for d in session.provider.manager.deployments.values()
+            if d.state is DeploymentState.ACTIVE and d.crashed_services()
+        ),
     }
 
 
@@ -179,8 +183,8 @@ def run(seed: int = 0) -> ExperimentResult:
         notes=[
             f"trace digest {r['digest'][:16]}… (seed {seed}; normalised "
             "for process-global deployment counters)",
-            "repair budget 3: after three failed repair attempts the "
-            "supervisor tears down the broken chain and redirects the "
+            "attempt budget 3: after three failed evacuations the "
+            "reconciler tears down the broken chain and redirects the "
             "data path through the VPN fallback — policies survive, "
             "in-network optimisation is lost",
         ],

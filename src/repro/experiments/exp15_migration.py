@@ -16,7 +16,7 @@ Four claims, each asserted:
   loss, provider silence at COMMIT) the transaction either commits
   fully or rolls back fully: no partial embeddings, no orphaned
   containers, and the interrupted commit is rolled *forward* by the
-  robustness supervisor's journal replay;
+  reconciler's journal replay;
 * **split-brain fencing** — after every cutover the superseded
   deployment processes zero packets: its data path rejects them on the
   stale epoch token and each rejection lands in the evidence ledger;
@@ -35,7 +35,7 @@ import hashlib
 from repro.core import AccessProvider, PvnSession
 from repro.core.deployment.lifecycle import LeaseTable
 from repro.core.deployment.manager import DeploymentState
-from repro.core.deployment.recovery import RecoveryPolicy
+from repro.core.deployment.reconciler import ReconcilePolicy
 from repro.core.pvnc.dsl import parse_pvnc
 from repro.experiments.harness import ExperimentResult, main
 from repro.faults import FaultKind, make_event, normalise_ids
@@ -93,12 +93,11 @@ def _execute(seed: int) -> dict:
     leases = LeaseTable()
     leases.fund(outcome.deployment_id, until=3600.0)
 
-    session.enable_robustness(RecoveryPolicy(check_interval=0.25))
+    session.enable_robustness(ReconcilePolicy(interval=0.25))
     injector = session.inject_faults("")    # empty plan; armed via inject_now
 
     def prefetcher():
-        deployment_id = session.device.connection.deployment_id
-        return manager.deployment(deployment_id).datapath.middleboxes[
+        return session.device.connection.deployment.datapath.middleboxes[
             "prefetcher"
         ]
 
@@ -117,7 +116,7 @@ def _execute(seed: int) -> dict:
         fenced.append((datapath, datapath.packets_processed))
 
     # -- 1. clean AP handoff: the cache must survive ----------------------
-    source_id = session.device.connection.deployment_id
+    source_id = session.device.connection.deployment.deployment_id
     clean = session.migrate("dev_alice_ap1", ap="ap1", leases=leases)
     assert clean.committed, clean.reason
     note_superseded(source_id)
@@ -137,7 +136,8 @@ def _execute(seed: int) -> dict:
     assert crash.deployment_id == clean.deployment_id     # source survives
     assert _live_container_count(session, user) == live_before
     crash_rolled_back = (
-        session.device.connection.deployment_id == clean.deployment_id
+        session.device.connection.deployment is manager.deployment(
+            clean.deployment_id)
         and manager.deployment(clean.deployment_id).healthy
     )
 
@@ -155,7 +155,7 @@ def _execute(seed: int) -> dict:
     assert post_abort.action == "forward"
 
     # -- 4. one lost transfer: retried within budget, commits -------------
-    source_id = session.device.connection.deployment_id
+    source_id = session.device.connection.deployment.deployment_id
     injector.inject_now(make_event(session.sim.now,
                                    FaultKind.MIGRATION_TRANSFER_LOSS))
     retried = session.migrate("dev_alice_b", ap="ap0", leases=leases)
@@ -163,17 +163,16 @@ def _execute(seed: int) -> dict:
     note_superseded(source_id)
 
     # -- 5. provider silence at COMMIT: journal replay rolls forward ------
-    source_id = session.device.connection.deployment_id
+    source_id = session.device.connection.deployment.deployment_id
     injector.inject_now(make_event(session.sim.now,
                                    FaultKind.MIGRATION_COMMIT_SILENCE,
                                    duration=0.5))
     silent = session.migrate("dev_alice_d", ap="ap1", leases=leases)
     assert not silent.committed and silent.pending
-    session.sim.run_for(0.5)    # next supervisor tick replays the journal
+    session.sim.run_for(0.5)    # next reconciler tick replays the journal
     coordinator = manager.migration_coordinator
     assert not coordinator.journal.open_transactions()
-    replay_events = [e for e in session.supervisor.events
-                     if e.kind == "migration_rolled_forward"]
+    replay_events = session.reconciler.events_of("migration_rolled_forward")
     assert len(replay_events) == 1
     # Exactly one deployment survives the whole gauntlet (no partial
     # embeddings): the rolled-forward target.
@@ -181,7 +180,7 @@ def _execute(seed: int) -> dict:
               if d.state is DeploymentState.ACTIVE]
     assert len(active) == 1
     rolled_forward_id = active[0].deployment_id
-    session.device.connection.deployment_id = rolled_forward_id
+    assert session.device.connection.deployment is active[0]
     note_superseded(source_id)
     assert leases.leases.get(rolled_forward_id, 0.0) == 3600.0
     final_hit = session.send(_request_packet(WARM_URLS[3], device_ip, user))

@@ -1,4 +1,5 @@
-"""The self-healing converge loop: desired state, evacuation, degrade.
+"""The self-healing converge loop: desired state, evacuation, in-place
+restart, degrade.
 
 Scenario tests run the real stack — simulator, routed heartbeats,
 phi-accrual detection, journaled evacuation — against a two-NFV-host
@@ -9,7 +10,7 @@ soaks at scale.
 import pytest
 
 from repro.core.auditor.violations import EvidenceLedger
-from repro.core.deployment import ensure_coordinator
+from repro.core.deployment import ensure_coordinator, repair_deployment
 from repro.core.deployment.manager import (
     DeploymentManager,
     DeploymentState,
@@ -27,6 +28,7 @@ from repro.core.session import default_pvnc
 from repro.errors import ConfigurationError
 from repro.health import HealthService, HostState
 from repro.netproto.dhcp import DhcpServer
+from repro.nfv.container import ContainerState
 from repro.obs import runtime as obs_runtime
 from repro.netproto.dns import Resolver, TrustAnchor, Zone, ZoneSigner
 from repro.netproto.tls import make_web_pki
@@ -106,7 +108,7 @@ class TestPolicy:
         dict(interval=0.0),
         dict(partition_grace=-1.0),
         dict(max_evacuations_per_tick=0),
-        dict(max_evacuation_attempts=0),
+        dict(max_attempts=0),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -229,6 +231,137 @@ class TestCrashEvacuation:
         assert victim not in reconciler._evacuated_hosts
 
 
+# -- in-place restart -------------------------------------------------------
+
+
+def ledgered(world, **policy_kwargs):
+    """A started reconciler with an evidence ledger and no desired
+    state, the way ``PvnSession.enable_robustness`` wires it."""
+    sim, _, _, manager, health = world
+    ledger = EvidenceLedger()
+    reconciler = Reconciler(
+        manager, sim, health, policy=ReconcilePolicy(**policy_kwargs),
+        ledger=ledger,
+    )
+    reconciler.start()
+    return reconciler, ledger
+
+
+def crash_service(deployment, service, now):
+    deployment.containers[service].crash(now)
+    return deployment.containers[service]
+
+
+class TestInPlaceRestart:
+    def assert_repaired(self, reconciler, ledger, deployment_id):
+        repaired = [r for r in reconciler.repairs
+                    if r.action == "repaired"]
+        assert [r.deployment_id for r in repaired] == [deployment_id]
+        assert repaired[0].repair_time == 0.0
+        kinds = {r.test for r in ledger.fault_records("isp")}
+        assert "fault:reconcile_repaired" in kinds
+
+    def test_crash_on_live_host_restarts_in_place(self, world):
+        sim, _, hosts, manager, _ = world
+        ack = deploy_user(manager, sim, "alice", "dev_alice")
+        reconciler, ledger = ledgered(world)
+        sim.run(until=1.1)
+        deployment = manager.deployment(ack.deployment_id)
+        container = crash_service(deployment, "tls_validator", sim.now)
+        sim.run(until=1.6)
+
+        assert deployment.containers["tls_validator"] is container
+        assert container.state is not ContainerState.CRASHED
+        assert deployment.state is DeploymentState.ACTIVE
+        assert deployment.repairs == 1
+        [event] = reconciler.events_of("repaired")
+        assert event.subject == ack.deployment_id
+        assert event.detail == "attempt 1/3: restarted tls_validator"
+        assert not reconciler.events_of("host_dead")
+        self.assert_repaired(reconciler, ledger, ack.deployment_id)
+        assert all(host.alive for host in hosts.values())
+
+    def test_crash_on_hostless_world_restarts_in_place(self, world):
+        sim, _, _, manager, _ = world
+        ack = deploy_user(manager, sim, "alice", "dev_alice")
+        manager.hosts = {}      # no host the control plane knows of
+        reconciler, ledger = ledgered(world)
+        sim.run(until=1.1)
+        deployment = manager.deployment(ack.deployment_id)
+        crash_service(deployment, "pii_detector", sim.now)
+        sim.run(until=1.6)
+
+        assert deployment.crashed_services() == ()
+        assert deployment.state is DeploymentState.ACTIVE
+        self.assert_repaired(reconciler, ledger, ack.deployment_id)
+
+    def test_healthy_tick_refills_the_budget(self, world):
+        sim, _, _, manager, _ = world
+        ack = deploy_user(manager, sim, "alice", "dev_alice")
+        reconciler, _ = ledgered(world, max_attempts=1)
+        deployment = manager.deployment(ack.deployment_id)
+        for at in (1.1, 2.1, 3.1):
+            sim.run(until=at)
+            crash_service(deployment, "tls_validator", sim.now)
+        sim.run(until=4.0)
+        details = [e.detail for e in reconciler.events_of("repaired")]
+        assert details == ["attempt 1/1: restarted tls_validator"] * 3
+        assert deployment.state is DeploymentState.ACTIVE
+        assert reconciler._attempts == {}
+
+    def test_crash_loop_exhausts_the_budget_and_degrades(self, world):
+        sim, _, _, manager, _ = world
+        ack = deploy_user(manager, sim, "alice", "dev_alice")
+        reconciler, ledger = ledgered(world, max_attempts=2)
+        deployment = manager.deployment(ack.deployment_id)
+        # A crash lands between every pair of ticks: no tick ever sees
+        # the deployment healthy, so the restarts are one outage.
+        for at in (1.1, 1.35, 1.6):
+            sim.schedule_at(at, crash_service, deployment, "transcoder", at)
+        sim.run(until=2.5)
+
+        assert len(reconciler.events_of("repaired")) == 2
+        [degraded] = reconciler.events_of("degraded")
+        assert degraded.subject == ack.deployment_id
+        assert degraded.time == pytest.approx(1.75)
+        assert deployment.state is DeploymentState.DEGRADED
+        tunnel = reconciler.tunnels[ack.deployment_id]
+        assert tunnel.effective_path("origin").rtt > 0
+        # The outage ran from the first restart tick to the degrade.
+        assert reconciler.repair_times("degraded") == [pytest.approx(0.5)]
+        assert ack.deployment_id not in reconciler._attempts
+        kinds = {r.test for r in ledger.fault_records("isp")}
+        assert "fault:reconcile_degraded" in kinds
+
+    def test_dead_host_is_left_to_evacuation(self, world):
+        sim, _, hosts, manager, _ = world
+        ack = deploy_user(manager, sim, "alice", "dev_alice")
+        reconciler, _ = ledgered(world)
+        sim.run(until=1.0)
+        victim = loaded_host(hosts)
+        hosts[victim].fail(sim.now)     # containers crash, host is down
+        deployment = manager.deployment(ack.deployment_id)
+        assert deployment.crashed_services()
+        sim.run(until=1.3)
+        # Down but not yet declared dead: the restart rule holds off,
+        # and a restart on the dead host is refused outright.
+        assert not reconciler.events_of("host_dead")
+        assert not reconciler.events_of("repaired")
+        assert deployment.crashed_services()
+        refused = repair_deployment(manager, ack.deployment_id, sim.now)
+        assert not refused.repaired and "evacuate" in refused.reason
+        assert deployment.crashed_services()
+
+        sim.run(until=3.0)
+        assert [e.subject for e in reconciler.events_of("host_dead")] \
+            == [victim]
+        [evacuated] = reconciler.events_of("evacuated")
+        assert evacuated.subject == ack.deployment_id
+        assert deployment.state is DeploymentState.SUPERSEDED
+        assert not reconciler.events_of("repaired")
+        assert [r.action for r in reconciler.repairs] == ["evacuated"]
+
+
 # -- partitions -------------------------------------------------------------
 
 
@@ -300,7 +433,7 @@ class TestDegradeAndRedeploy:
     def test_no_capacity_degrades_to_tunnel(self, world):
         sim, _, hosts, manager, _ = world
         ack = deploy_user(manager, sim, "alice", "dev_alice")
-        reconciler = healing(world, max_evacuation_attempts=2)
+        reconciler = healing(world, max_attempts=2)
         self.crash_everything(world, reconciler)
 
         assert reconciler.events_of("evacuation_failed")
@@ -317,7 +450,7 @@ class TestDegradeAndRedeploy:
     def test_capacity_returning_redeploys_and_retires_remnant(self, world):
         sim, _, hosts, manager, health = world
         ack = deploy_user(manager, sim, "alice", "dev_alice")
-        reconciler = healing(world, max_evacuation_attempts=2)
+        reconciler = healing(world, max_attempts=2)
         self.crash_everything(world, reconciler)
         assert ack.deployment_id in reconciler.tunnels
 
@@ -436,7 +569,7 @@ class TestLifecycle:
         sim, _, hosts, manager, _ = world
         deploy_user(manager, sim, "alice", "dev_alice")
         reconciler = healing(
-            world, max_evacuation_attempts=1,
+            world, max_attempts=1,
             fallback_endpoint="no-such-node",
         )
         sim.run(until=1.0)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import PvnSession, default_pvnc
 from repro.core.deployment.manager import DeploymentState
-from repro.core.deployment.recovery import RecoveryPolicy
+from repro.core.deployment.reconciler import ReconcilePolicy
 from repro.errors import ConfigurationError
 from repro.faults import FaultKind, FaultPlan, make_event, normalise_ids
 from repro.netsim.packet import Packet
@@ -109,13 +109,13 @@ class TestAccountingAndDeterminism:
 
     def run_chaos(self, seed):
         session, outcome = connected_session(seed=seed)
-        supervisor = session.enable_robustness(
-            RecoveryPolicy(check_interval=0.25)
+        reconciler = session.enable_robustness(
+            ReconcilePolicy(interval=0.25)
         )
         plan = FaultPlan.random(seed=seed + 100, start=1.0, **self.PLAN_ARGS)
         injector = session.inject_faults(plan)
         session.sim.run(until=plan.horizon + 2.0)
-        return session, outcome, supervisor, injector
+        return session, outcome, reconciler, injector
 
     def test_same_seed_identical_event_trace(self):
         _, _, _, first = self.run_chaos(seed=11)
@@ -123,15 +123,19 @@ class TestAccountingAndDeterminism:
         assert normalise_ids(first.trace()) == normalise_ids(second.trace())
 
     def test_every_crash_ends_repaired_or_degraded_never_hanging(self):
-        session, outcome, supervisor, injector = self.run_chaos(seed=7)
+        session, outcome, reconciler, injector = self.run_chaos(seed=7)
         crashes = [a for a in injector.applied
                    if a.kind in (FaultKind.MIDDLEBOX_CRASH,
                                  FaultKind.HOST_DOWN)
                    and a.deployment_ids]
         assert crashes, "chaos plan injected no effective crash"
-        assert supervisor.unresolved() == []
-        deployment = session.provider.manager.deployments[
-            outcome.deployment_id]
+        assert reconciler.events_of("repaired")
+        assert not any(
+            d.state is DeploymentState.ACTIVE and d.crashed_services()
+            for d in session.provider.manager.deployments.values()
+        )
+        # The connection follows its lineage through any evacuation.
+        deployment = outcome.connection.deployment
         if deployment.state is DeploymentState.ACTIVE:
             assert deployment.crashed_services() == ()
         else:
@@ -157,7 +161,7 @@ class TestDegradedDataPath:
     def test_degraded_deployment_tunnels_every_packet(self):
         session, outcome = connected_session()
         session.enable_robustness(
-            RecoveryPolicy(check_interval=0.25, max_repair_attempts=2)
+            ReconcilePolicy(interval=0.25, max_attempts=2)
         )
         session.inject_faults("at 1.0 host-down nfv0\nat 1.0 host-down nfv1")
         session.sim.run(until=3.0)
